@@ -6,7 +6,9 @@ run's full result arrays to be *exactly* equal to the baseline (the
 runtime's bit-reproducibility contract extends through the recovery
 ladder).  Also round-trips the persistent quantile cache through a
 bit-flip: the corrupt entry must be quarantined, counted and recomputed,
-never crash the run.
+never crash the run.  And it kills a cache writer mid-append: the intact
+entries must still be served, nothing quarantined, and the next put must
+repair the file.
 
 Writes the chaos run's manifest (``--manifest FILE``, default
 ``chaos-manifest.json``) so CI can validate and archive it::
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -105,10 +108,11 @@ def check_cache_roundtrip() -> list:
         cache = QuantileCache(path=path, enabled=True)
         cache.put_many([("point:a", 1.5e-9), ("point:b", 2.5e-9)])
 
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        key = sorted(doc["entries"])[0]
-        doc["entries"][key][0] = "0x1.badp-30"          # bit-flip the value
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        header, line = Path(path).read_text(encoding="utf-8").splitlines()
+        records = sorted(json.loads(line))              # [key, hex, crc]
+        records[0][1] = "0x1.badp-30"                   # bit-flip the value
+        Path(path).write_text(f"{header}\n{json.dumps(records)}\n",
+                              encoding="utf-8")
 
         reread = QuantileCache(path=path, enabled=True)
         values = reread.get_many(["point:a", "point:b"])
@@ -141,6 +145,55 @@ def check_cache_roundtrip() -> list:
     return errors
 
 
+_KILLED_WRITER = """
+import os, sys
+from repro.runtime import QuantileCache
+cache = QuantileCache(path=sys.argv[1], enabled=True)
+cache.put_many([("point:a", 1.5e-9), ("point:b", 2.5e-9)])
+real_write = os.write
+def dying_write(fd, data):      # the process dies halfway through a record
+    real_write(fd, data[:len(data) // 2])
+    os._exit(9)
+os.write = dying_write
+cache.put_many([("point:c", 3.5e-9)])
+"""
+
+
+def check_killed_writer() -> list:
+    """A writer killed mid-append: intact entries served, tail repaired."""
+    errors = []
+    with tempfile.TemporaryDirectory() as cache_dir:
+        path = os.path.join(cache_dir, "quantiles.json")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        code = subprocess.run([sys.executable, "-c", _KILLED_WRITER, path],
+                              env=env).returncode
+        if code != 9:
+            errors.append(f"killed writer exited {code}, expected 9")
+        if Path(path).read_bytes().endswith(b"\n"):
+            errors.append("killed writer left no torn record to recover")
+
+        reread = QuantileCache(path=path, enabled=True)
+        values = reread.get_many(["point:a", "point:b", "point:c"])
+        if values != [1.5e-9, 2.5e-9, None]:
+            errors.append(f"after a killed writer the cache served "
+                          f"{values}, expected the intact entries only")
+        if reread.quarantined:
+            errors.append(f"a torn final record was quarantined "
+                          f"({reread.quarantined}) instead of ignored")
+
+        reread.put_many([("point:c", 3.5e-9)])          # the next writer
+        final = QuantileCache(path=path, enabled=True)
+        if final.get_many(["point:a", "point:b", "point:c"]) != [
+                1.5e-9, 2.5e-9, 3.5e-9]:
+            errors.append("the next put did not repair the torn cache file")
+        if final.quarantined or not Path(path).read_bytes().endswith(b"\n"):
+            errors.append("the repaired cache file still holds a torn record")
+    if not errors:
+        print("ok: killed cache writer's torn record ignored, intact entries "
+              "served, next put repaired the file")
+    return errors
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--manifest", default="chaos-manifest.json",
@@ -151,6 +204,7 @@ def main(argv=None) -> int:
     try:
         errors = check_crash_recovery(args.manifest)
         errors += check_cache_roundtrip()
+        errors += check_killed_writer()
     finally:
         if previous is None:
             os.environ.pop("REPRO_CACHE_DIR", None)

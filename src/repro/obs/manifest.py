@@ -41,24 +41,22 @@ TIMING_KEYS = frozenset({
 
 
 def cache_file_state(path: str | None = None) -> dict:
-    """Entry count and byte size of the persistent quantile-cache file.
+    """Live entry count and byte size of the persistent quantile-cache file.
 
     Defaults to the active cache location
-    (:func:`repro.runtime.cache.default_cache_dir`); a missing or corrupt
-    file reads as empty — never fatal, matching the cache's own policy.
+    (:func:`repro.runtime.cache.default_cache_dir`).  Entries are counted
+    by :func:`repro.runtime.cache.read_entries`: only records that
+    validate, with no side effects on the file, counters or ledger; a
+    missing, corrupt or other-version file has none.
     """
-    from repro.runtime.cache import default_cache_dir
+    from repro.runtime.cache import default_cache_dir, read_entries
     if path is None:
         path = os.path.join(default_cache_dir(), "quantiles.json")
-    state = {"path": str(path), "entries": 0, "bytes": 0}
+    state = {"path": str(path), "entries": len(read_entries(path)),
+             "bytes": 0}
     try:
         state["bytes"] = os.path.getsize(path)
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        entries = payload.get("entries", {})
-        if isinstance(entries, dict):
-            state["entries"] = len(entries)
-    except (OSError, ValueError):
+    except OSError:
         pass
     return state
 

@@ -18,7 +18,8 @@ components.  Three pieces:
   scenarios replay deterministically in tests and CI.
 
 The crash-safe cache lives in :mod:`repro.runtime.cache` (checksummed
-entries, atomic writes, advisory locks, quarantine-not-crash reads) and
+records, fsynced appends under advisory locks, torn tails ignored then
+truncated, quarantine-not-crash reads) and
 the solver guardrails in :meth:`ChipDelayEngine.chip_quantile_batch`
 (structured :class:`~repro.errors.SolverNumericalError`, scalar-bracketing
 then Monte-Carlo fallbacks); both report through the ledger and the

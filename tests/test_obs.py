@@ -320,6 +320,30 @@ def test_cache_file_state_missing_file_reads_empty(tmp_path):
     assert state["entries"] == 0 and state["bytes"] == 0
 
 
+def test_cache_file_state_counts_live_entries_without_side_effects(tmp_path):
+    from repro.resilience import FaultLedger, activate_ledger
+    from repro.runtime import QuantileCache
+
+    path = str(tmp_path / "quantiles.json")
+    QuantileCache(path=path, enabled=True).put_many([("a", 1.0), ("b", 2.0)])
+    with open(path, "ab") as fh:      # a garbled line, then a torn record
+        fh.write(b'[["c", "0x1p+1", "bad"]]\n[["d", "0x')
+    ledger = FaultLedger()
+    obs = build_obs(metrics=True)
+    with activate_obs(obs), activate_ledger(ledger):
+        state = cache_file_state(path)
+        assert state == {"path": path, "entries": 2,
+                         "bytes": os.path.getsize(path)}
+        open(path, "w").write(json.dumps(     # another format version
+            {"version": 2, "entries": {"a": ["0x1p+0", "0"]}}, indent=0))
+        assert cache_file_state(path)["entries"] == 0
+        open(path, "w").write("{not json")    # an unparseable header
+        assert cache_file_state(path)["entries"] == 0
+    assert os.path.exists(path) and not os.path.exists(path + ".quarantined")
+    assert ledger.counts() == {}
+    assert obs.metrics.counter("resilience.cache.quarantined").value == 0
+
+
 # -- sampler propagation ------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from repro.resilience import (
     parse_faults,
 )
 from repro.runtime import ParallelSampler, QuantileCache, build_runtime
+from repro.runtime.cache import _entry_checksum
 
 SMALL_ARCH = dict(width=4, paths_per_lane=3, chain_length=5)
 
@@ -213,14 +214,26 @@ def test_fig4_bit_identical_under_injected_crash(monkeypatch, tmp_path):
 # -- crash-safe cache ----------------------------------------------------------
 
 
+def _edit_batch(path, edit):
+    """Hand-edit the one batch line of a single-put cache file.
+
+    ``edit`` receives the batch's ``[key, hex, crc]`` records keyed by key.
+    """
+    header, line = open(path).read().splitlines()
+    records = json.loads(line)
+    edit({rec[0]: rec for rec in records})
+    open(path, "w").write(header + "\n" + json.dumps(records) + "\n")
+
+
 def test_cache_corrupt_entry_quarantined_and_recomputed(tmp_path):
     path = str(tmp_path / "quantiles.json")
     cache = QuantileCache(path=path, enabled=True)
     cache.put_many([("a", 1.5e-9), ("b", 2.5e-9)])
 
-    doc = json.loads(open(path).read())
-    doc["entries"]["a"][0] = "0x1.badp-30"         # bit-flip the value
-    open(path, "w").write(json.dumps(doc))
+    def flip(records):                             # bit-flip a's value
+        records["a"][1] = "0x1.badp-30"
+
+    _edit_batch(path, flip)
 
     ledger = FaultLedger()
     obs = build_obs(metrics=True)
@@ -240,10 +253,12 @@ def test_cache_checksum_detects_swapped_entries(tmp_path):
     path = str(tmp_path / "quantiles.json")
     cache = QuantileCache(path=path, enabled=True)
     cache.put_many([("a", 1.5e-9), ("b", 2.5e-9)])
-    doc = json.loads(open(path).read())
-    doc["entries"]["a"], doc["entries"]["b"] = (doc["entries"]["b"],
-                                                doc["entries"]["a"])
-    open(path, "w").write(json.dumps(doc))
+
+    def swap(records):                             # swap value + checksum
+        a, b = records["a"], records["b"]
+        a[1:], b[1:] = b[1:], a[1:]
+
+    _edit_batch(path, swap)
     # Checksums are keyed: swapping two valid records invalidates both.
     assert QuantileCache(path=path, enabled=True).get_many(
         ["a", "b"]) == [None, None]
@@ -270,11 +285,22 @@ def test_cache_truncated_file_quarantined_whole(tmp_path):
 
 def test_cache_old_format_version_reads_empty(tmp_path):
     path = str(tmp_path / "quantiles.json")
-    open(path, "w").write(json.dumps(
-        {"version": 1, "entries": {"a": "0x1.8p-30"}}))
-    cache = QuantileCache(path=path, enabled=True)
-    assert cache.get("a") is None
-    assert cache.quarantined == 0      # stale format, not corruption
+    hex_value = (1.5e-9).hex()
+    v1 = json.dumps({"version": 1, "entries": {"a": "0x1.8p-30"}})
+    # What the v2 writer left: one indented (multi-line) document.
+    v2 = json.dumps({"version": 2, "entries": {
+        "a": [hex_value, _entry_checksum("a", hex_value)]}}, indent=0)
+    for old in (v1, v2):
+        open(path, "w").write(old)
+        cache = QuantileCache(path=path, enabled=True)
+        assert cache.get("a") is None
+        assert cache.quarantined == 0      # stale format, not corruption
+        assert not os.path.exists(path + ".quarantined")
+        cache.put("b", 2.0)                # the first put rewrites it as v3
+        assert json.loads(open(path).readline()) == {"version": 3}
+        fresh = QuantileCache(path=path, enabled=True)
+        assert fresh.get_many(["a", "b"]) == [None, 2.0]
+        assert fresh.quarantined == 0
 
 
 def test_cache_faultlab_corruption_injection(tmp_path):
