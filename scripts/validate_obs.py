@@ -5,10 +5,12 @@ in :mod:`repro.obs.manifest`, plus structural invariants the schemas
 cannot express: the trace must contain at least one complete span, the
 manifest's cache ledger must reconcile, with ``--expect-workers`` the
 trace must contain spans recorded in at least two distinct processes
-(proof that pool workers handed their span batches back), and with
+(proof that pool workers handed their span batches back), with
 ``--expect-fault-events KIND`` (repeatable) the manifest's resilience
 ledger must contain at least one event of each named kind (proof that a
-chaos run actually exercised its recovery path).
+chaos run actually exercised its recovery path), and with
+``--forbid-fault-events KIND`` (repeatable) it must contain none (proof
+that a clean run needed no recovery, e.g. no hung pool worker).
 
 Serving telemetry artifacts are covered too: ``--openmetrics FILE``
 checks a ``GET /metrics`` scrape against the OpenMetrics structural
@@ -24,6 +26,8 @@ Usage::
     python scripts/validate_obs.py --trace t2.json --expect-workers
     python scripts/validate_obs.py --manifest chaos.json \
         --expect-fault-events pool_respawn
+    python scripts/validate_obs.py --manifest tail.json \
+        --forbid-fault-events hung_worker_timeout
     python scripts/validate_obs.py --openmetrics metrics.txt \
         --flight flight.json --manifest serve.json
 """
@@ -67,7 +71,8 @@ def check_trace(path: Path, expect_workers: bool) -> list:
     return errors
 
 
-def check_manifest(path: Path, expect_fault_events=()) -> list:
+def check_manifest(path: Path, expect_fault_events=(),
+                   forbid_fault_events=()) -> list:
     doc = json.loads(path.read_text(encoding="utf-8"))
     errors = validate_schema(doc, MANIFEST_SCHEMA)
     serving = doc.get("run", {}).get("targets") == ["serve"]
@@ -102,6 +107,10 @@ def check_manifest(path: Path, expect_fault_events=()) -> list:
         if counts.get(kind, 0) < 1:
             errors.append(f"{path}: expected >=1 {kind!r} resilience "
                           f"event, ledger has {sorted(counts) or 'none'}")
+    for kind in forbid_fault_events or ():
+        if counts.get(kind, 0):
+            errors.append(f"{path}: expected no {kind!r} resilience "
+                          f"event, ledger has {counts[kind]}")
     if not errors:
         print(f"ok: {path} — targets {doc['run']['targets']}, "
               f"cache {cache.get('hits')}h/{cache.get('misses')}m, "
@@ -166,6 +175,10 @@ def main(argv=None) -> int:
                         metavar="KIND", default=[],
                         help="require >=1 resilience ledger event of KIND "
                              "in the manifest (repeatable)")
+    parser.add_argument("--forbid-fault-events", action="append",
+                        metavar="KIND", default=[],
+                        help="fail if the manifest's resilience ledger "
+                             "holds any event of KIND (repeatable)")
     args = parser.parse_args(argv)
     if all(a is None for a in (args.trace, args.manifest,
                                args.openmetrics, args.flight)):
@@ -176,7 +189,8 @@ def main(argv=None) -> int:
     if args.trace is not None:
         errors += check_trace(args.trace, args.expect_workers)
     if args.manifest is not None:
-        errors += check_manifest(args.manifest, args.expect_fault_events)
+        errors += check_manifest(args.manifest, args.expect_fault_events,
+                                 args.forbid_fault_events)
     if args.openmetrics is not None:
         errors += check_openmetrics_file(args.openmetrics)
     if args.flight is not None:

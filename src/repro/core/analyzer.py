@@ -106,25 +106,21 @@ class VariationAnalyzer:
 
     def monte_carlo(self, seed: int | None = 0,
                     precision: str | None = None,
-                    backend: str | None = None,
                     block_elems: int | None = None) -> MonteCarloEngine:
         """A per-gate Monte-Carlo engine sharing this analyzer's card.
 
-        ``precision``, ``backend`` and ``block_elems`` default to the
-        active runtime's policies (``--mc-precision`` / ``--backend`` /
-        ``--block-elems``), or float64 on the serial numpy backend
-        without one.
+        ``precision`` and ``block_elems`` default to the active
+        runtime's policies (``--mc-precision`` / ``--block-elems``), or
+        float64 with the kernel's default block budget without one.
         """
         runtime = current_runtime()
         if precision is None:
             precision = (runtime.precision if runtime is not None
                          else "float64")
-        if backend is None:
-            backend = runtime.backend if runtime is not None else "numpy"
         if block_elems is None and runtime is not None:
             block_elems = runtime.block_elems
         return MonteCarloEngine(self.tech, seed=seed, precision=precision,
-                                backend=backend, block_elems=block_elems)
+                                block_elems=block_elems)
 
     # -- circuit level ---------------------------------------------------------
 
@@ -333,7 +329,7 @@ class VariationAnalyzer:
 
         Sharding goes through the runtime's :class:`ParallelSampler`
         when one is active (the estimate is jobs-invariant either way);
-        precision/backend/blocking follow the runtime like
+        precision and blocking follow the runtime like
         :meth:`monte_carlo`.
         """
         runtime = current_runtime()
@@ -344,7 +340,6 @@ class VariationAnalyzer:
             sampler=runtime.sampler if runtime is not None else None,
             precision=(runtime.precision if runtime is not None
                        else "float64"),
-            backend=runtime.backend if runtime is not None else "numpy",
             block_elems=runtime.block_elems if runtime is not None else None)
 
     _TAIL_FIELDS = ("value", "ess", "wmr", "rounds", "shift")

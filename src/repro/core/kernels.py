@@ -10,7 +10,7 @@ must page-in and the GC must tear down again.  :class:`MonteCarloKernel`
 replaces that storm with
 
 * **preallocated workspace arenas** — a handful of flat buffers per
-  evaluation context (:class:`WorkspaceArena`), grown once and reused
+  evaluation thread (:class:`WorkspaceArena`), grown once and reused
   for every batch, with the whole evaluation expressed as in-place
   ufunc calls (``out=`` everywhere, including the
   ``rng.standard_normal(out=ws)`` draw fills via
@@ -25,58 +25,227 @@ replaces that storm with
 * **per-chip random streams**: every chip (or lane sample) draws from
   its own :class:`numpy.random.SeedSequence` child, which makes results
   invariant to ``batch_size`` — batching becomes a pure memory knob —
-  and lets the fused path evaluate in cache-sized internal blocks
-  without changing a single bit of the output;
-* a **pluggable execution backend** (:mod:`repro.core.backends`):
-  because the internal blocks are independent and batch-invariant, the
-  block loop is an execution-policy seam.  ``backend="threaded"``
-  dispatches blocks across a shared thread pool with one workspace
-  arena *per worker thread* writing into disjoint ``out=`` slices —
-  bit-identical to serial by construction; optional ``numba``/``cupy``
-  backends accelerate the per-path delay-sum chain itself (rtol-gated
-  parity) and degrade to ``numpy`` with a warning when not installed.
+  and lets the fused path evaluate in internal blocks without changing
+  a single bit of the output;
+* **balanced, cache-sized blocks on one thread pool**: every fused
+  batch is split by :func:`plan_blocks` into contiguous row blocks of
+  near-equal size, each within a :data:`DEFAULT_BLOCK_ELEMS` element
+  budget (so a block's buffers stay in a core's L2 cache), numbering a
+  multiple of the thread count when there are rows enough.  The blocks
+  run on one process-wide :class:`BlockPool` with one workspace arena
+  *per thread*, each writing a disjoint ``out=`` slice.  Numpy ufuncs
+  and ``Generator`` fills release the GIL, so draws and the fused
+  delay chain of independent chips overlap.  The output is bit-identical to a serial
+  loop whatever the plan or thread count, because a chip's draws come
+  only from its own stream and every reduction runs along one row,
+  never across a block boundary.
 
 The float64 fused path is **bit-identical** to the reference path
 (``fused=False``), which preserves the naive allocate-per-temporary
 evaluation through :meth:`TechnologyNode.fo4_delay` for parity tests
-and benchmarking (``benchmarks/bench_montecarlo.py``; per-backend
-parity lives in ``benchmarks/bench_backends.py``).  Bit-identity holds
-because every fused in-place ufunc replays the exact operation sequence
-of the reference chain — only the destinations change.
+and benchmarking (``benchmarks/bench_montecarlo.py``).  Bit-identity
+holds because every fused in-place ufunc replays the exact operation
+sequence of the reference chain — only the destinations change.
+
+Thread count: a process runs :func:`kernel_threads` threads, one per
+CPU in its affinity mask (:func:`usable_cpus`, not the host CPU count).
+The :class:`~repro.runtime.parallel.ParallelSampler` process pool sizes
+each of its ``jobs`` workers to ``max(1, cpus // jobs)`` threads
+(:func:`share_cpus`), so the two layers never oversubscribe the CPUs.
+One thread, or a one-block batch, runs on the calling thread.  The pool
+starts on the first batch that has work for it, never at import, and a
+forked child forgets the parent's pool (whose threads do not exist in
+the child) and starts its own.
 
 Observability: kernels emit ``kernels.batches`` / ``kernels.blocks`` /
-``kernels.gate_evals`` counters, a ``kernels.workspace_bytes`` gauge
-(every arena *including float32 staging buffers*), and a
-``kernels.backend.<name>`` marker gauge on the active metrics registry
-(no-ops when observability is off).
+``kernels.gate_evals`` counters, ``kernels.workspace_bytes`` (every
+arena *including float32 staging buffers*) and ``kernels.threads``
+gauges, and a ``kernels.thread_utilization`` gauge for batches that
+ran on the pool, on the active metrics registry (no-ops when
+observability is off).
 """
 
 from __future__ import annotations
 
+import os
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND, resolve_backend
 from repro.errors import ConfigurationError
 from repro.obs.api import counter as _obs_counter
+from repro.obs.api import current_obs
 from repro.obs.api import gauge as _obs_gauge
 
-__all__ = ["MonteCarloKernel", "WorkspaceArena", "PRECISIONS",
-           "DEFAULT_BLOCK_ELEMS"]
+__all__ = ["MonteCarloKernel", "WorkspaceArena", "BlockPool", "PRECISIONS",
+           "DEFAULT_BLOCK_ELEMS", "plan_blocks", "usable_cpus",
+           "kernel_threads", "share_cpus"]
 
 #: Supported dtype-policy names.
 PRECISIONS = ("float64", "float32")
 
-#: Default per-workspace budget, in elements, for the fused path's
-#: internal blocking.  Each evaluation buffer stays under this size, so
-#: a batch over a large architecture is processed a cache-friendly slab
-#: of chips at a time; per-chip streams make the split invisible in the
-#: output bits.  1M elements (8 MB of float64 per buffer) measures
-#: fastest at the fig-4 validation scale — beyond it the working set
-#: falls out of cache and throughput drops ~20 %.  The reference path
-#: never blocks (it reproduces the pre-kernel whole-batch evaluation).
-DEFAULT_BLOCK_ELEMS = 1_000_000
+#: Default per-block element budget for the fused path.  A block's ~4
+#: float64 evaluation buffers then take ~2 MB, which stays in a core's
+#: 2 MiB L2 cache; per-chip streams make the split invisible in the
+#: output bits.  Fig-4-scale chips (128 x 100 x 50 = 640k elements)
+#: exceed it, so they run one chip per block.  The reference path never
+#: blocks (it reproduces the pre-kernel whole-batch evaluation).
+DEFAULT_BLOCK_ELEMS = 65_536
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, at least 1.
+
+    Under ``taskset`` or a container CPU set this is smaller than
+    ``os.cpu_count()``, which counts the host's CPUs.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:      # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def kernel_threads(processes: int = 1) -> int:
+    """Kernel threads for one of ``processes`` processes sharing the CPUs."""
+    return max(1, usable_cpus() // max(1, int(processes)))
+
+
+def plan_blocks(rows: int, row_elems: int, block_elems: int,
+                threads: int) -> list:
+    """Balanced ``(start, stop)`` block spans over ``rows`` rows.
+
+    The spans are contiguous and cover every row in order; their sizes
+    differ by at most one row; no block holds more than ``block_elems``
+    elements unless a single row does; and the block count is the
+    smallest multiple of ``threads`` that meets the budget — or
+    ``rows``, when there are fewer rows than that — so every thread gets
+    an equal share.  The plan only decides where rows are evaluated,
+    never what they evaluate to.
+    """
+    if int(block_elems) < 1:
+        raise ConfigurationError(
+            f"block_elems must be >= 1, got {block_elems}")
+    if int(threads) < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    rows = int(rows)
+    if rows < 1:
+        return []
+    per_block = max(1, int(block_elems) // max(1, int(row_elems)))
+    count = -(-rows // per_block)
+    count = min(rows, -(-count // int(threads)) * int(threads))
+    size, extra = divmod(rows, count)
+    spans = []
+    start = 0
+    for i in range(count):
+        stop = start + size + (i < extra)
+        spans.append((start, stop))
+        start = stop
+    return spans
+
+
+class BlockPool:
+    """Threads that evaluate the independent blocks of kernel batches.
+
+    One instance serves the whole process (see :func:`share_cpus`).
+    ``threads=None`` sizes it by :func:`kernel_threads` when a batch
+    first asks.  The executor starts on the first batch with more than
+    one block and more than one thread; until then, and for every batch
+    it would not split, blocks run on the calling thread.
+    """
+
+    def __init__(self, threads: int | None = None) -> None:
+        if threads is not None and int(threads) < 1:
+            raise ConfigurationError(f"threads must be >= 1, got {threads}")
+        self._threads = None if threads is None else int(threads)
+        self._executor: ThreadPoolExecutor | None = None
+        self._lock = threading.Lock()
+
+    @property
+    def threads(self) -> int:
+        """Pool width (fixed once read)."""
+        if self._threads is None:
+            self._threads = kernel_threads()
+        return self._threads
+
+    def _pool(self) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.threads,
+                    thread_name_prefix="repro-kernel")
+            return self._executor
+
+    def close(self) -> None:
+        """Stop the threads (a later batch starts them again)."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+    def run(self, kernel, fn, spans) -> None:
+        """``fn(arena, start, stop)`` for every span; returns when all ran.
+
+        Each block evaluates against its thread's own
+        :meth:`MonteCarloKernel.arena` and writes a disjoint slice, so
+        blocks share no mutable state.  Every block finishes before the
+        first block error, if any, is raised.
+        """
+        if self.threads == 1 or len(spans) <= 1:
+            arena = kernel.arena()
+            for start, stop in spans:
+                fn(arena, start, stop)
+            return
+        metrics = current_obs().metrics
+        timed = metrics.enabled
+        busy = [0.0] * len(spans)
+        t0 = time.perf_counter()
+
+        def block(idx):
+            b0 = time.perf_counter() if timed else 0.0
+            fn(kernel.arena(), *spans[idx])
+            if timed:
+                busy[idx] = time.perf_counter() - b0
+
+        pool = self._pool()
+        futures = [pool.submit(block, idx) for idx in range(len(spans))]
+        wait(futures)
+        for fut in futures:
+            fut.result()
+        if timed:
+            elapsed = time.perf_counter() - t0
+            if elapsed > 0.0:
+                metrics.gauge("kernels.thread_utilization").set(
+                    min(1.0, sum(busy) / (self.threads * elapsed)))
+
+
+_POOL = BlockPool()
+
+
+def share_cpus(processes: int) -> None:
+    """Size this process's kernel threads as one of ``processes``.
+
+    The initializer of the ``ParallelSampler`` process pool: ``jobs``
+    workers each run ``max(1, cpus // jobs)`` threads, so process shards
+    and kernel threads together never oversubscribe the usable CPUs.
+    """
+    global _POOL
+    old, _POOL = _POOL, BlockPool(kernel_threads(processes))
+    old.close()
+
+
+def _forget_pool_in_child() -> None:
+    """Start a forked child with an unstarted pool of the same size.
+
+    The parent's pool threads do not exist in the child, so blocks
+    submitted to the inherited executor would never run.
+    """
+    global _POOL
+    _POOL = BlockPool(_POOL._threads)
+
+
+os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def _softplus_into(x, out):
@@ -99,7 +268,7 @@ class WorkspaceArena:
     """Named grow-only buffer pool for one evaluation context.
 
     A kernel owns one arena per thread that evaluates blocks through it
-    (exactly one — the caller's — under the serial backends).  Buffers
+    (the caller's alone when a batch runs on the calling thread).  Buffers
     are flat, keyed by name, and only ever grow; :meth:`ws` returns a
     correctly-shaped view.  ``nbytes`` counts *every* buffer, including
     the float64 ``staging`` buffer the float32 dtype policy draws
@@ -157,26 +326,20 @@ class MonteCarloKernel:
         :meth:`TechnologyNode.fo4_delay` — kept for parity tests and
         as the benchmark baseline.
     block_elems:
-        Per-workspace element budget for the fused path's internal
-        blocking (see :data:`DEFAULT_BLOCK_ELEMS`); ``None`` selects
-        the default.
-    backend:
-        Execution policy for the independent internal blocks — a name
-        from :data:`~repro.core.backends.BACKENDS` or a
-        :class:`~repro.core.backends.KernelBackend` instance.  Missing
-        optional backends degrade to ``"numpy"`` with a warning.
+        Per-block element budget for the fused path's internal blocking
+        (see :data:`DEFAULT_BLOCK_ELEMS` and :func:`plan_blocks`);
+        ``None`` selects the default.
 
-    Under the serial backends a kernel is **not** thread-safe; share
-    one per process (pool workers memoise kernels per card / precision
-    / backend), not across concurrent callers.  The ``threaded``
-    backend parallelises *inside* a batch call — concurrent worker
-    threads each evaluate against their own :class:`WorkspaceArena` —
-    but concurrent *batch* calls on one kernel remain unsupported.
+    A kernel parallelises *inside* a batch call — the process's
+    :class:`BlockPool` threads each evaluate blocks against their own
+    :class:`WorkspaceArena` — but concurrent *batch* calls on one kernel
+    are unsupported; share one per process (pool workers memoise
+    kernels per card / precision / budget), not across concurrent
+    callers.
     """
 
     def __init__(self, tech, precision: str = "float64", fused: bool = True,
-                 block_elems: int | None = DEFAULT_BLOCK_ELEMS,
-                 backend=DEFAULT_BACKEND) -> None:
+                 block_elems: int | None = DEFAULT_BLOCK_ELEMS) -> None:
         if precision not in PRECISIONS:
             raise ConfigurationError(
                 f"precision must be one of {PRECISIONS}, got {precision!r}")
@@ -190,8 +353,6 @@ class MonteCarloKernel:
         self.fused = bool(fused)
         self.block_elems = int(block_elems)
         self._dtype = np.dtype(precision)
-        self._backend = resolve_backend(backend)
-        self.backend = self._backend.name
         self._arenas: dict = {}
         self._arena_lock = threading.Lock()
 
@@ -205,10 +366,9 @@ class MonteCarloKernel:
     def arena(self) -> WorkspaceArena:
         """The calling thread's workspace arena (created on first use).
 
-        Serial backends only ever touch the caller's arena; the
-        ``threaded`` backend calls this from each pool worker, giving
-        every thread private evaluation buffers with zero locking on
-        the hot path.
+        Every :class:`BlockPool` thread calls this for its blocks, giving
+        each thread private evaluation buffers with zero locking on the
+        hot path.
         """
         key = threading.get_ident()
         arena = self._arenas.get(key)
@@ -221,19 +381,17 @@ class MonteCarloKernel:
     @property
     def workspace_nbytes(self) -> int:
         """Total bytes held by every arena (all threads, staging
-        included) plus any backend-owned device workspaces."""
+        included)."""
         with self._arena_lock:
             arenas = list(self._arenas.values())
-        return (sum(arena.nbytes for arena in arenas)
-                + int(self._backend.workspace_nbytes))
+        return sum(arena.nbytes for arena in arenas)
 
     def workspace_breakdown(self) -> dict:
         """``{buffer name: total bytes}`` aggregated across arenas.
 
         The float32 policy's float64 ``staging`` buffer appears as its
         own entry, so the accounting asserted by the tests covers it
-        explicitly; ``sum(values)`` equals the host part of
-        :attr:`workspace_nbytes`.
+        explicitly; ``sum(values)`` equals :attr:`workspace_nbytes`.
         """
         with self._arena_lock:
             arenas = list(self._arenas.values())
@@ -244,14 +402,13 @@ class MonteCarloKernel:
         return total
 
     def release_workspaces(self) -> None:
-        """Drop every workspace buffer — all thread arenas and any
-        backend device buffers (they regrow on the next batch)."""
+        """Drop every workspace buffer of every thread's arena (they
+        regrow on the next batch)."""
         with self._arena_lock:
             arenas = list(self._arenas.values())
             self._arenas.clear()
         for arena in arenas:
             arena.release()
-        self._backend.release_workspaces()
 
     def _alloc(self, arena: WorkspaceArena, name: str, shape, dtype=None):
         """Workspace view (fused) or a fresh allocation (reference)."""
@@ -305,12 +462,8 @@ class MonteCarloKernel:
         ``tech.fo4_delay(vdd, dvth, mult).sum(axis=-1)`` in float64: the
         in-place ufunc sequence replays the reference chain operation
         for operation, and the ``np.sum(..., out=...)`` keeps numpy's
-        pairwise reduction order.  An accelerator backend may take the
-        whole chain instead (:meth:`KernelBackend.path_sums`) — those
-        paths are rtol-gated, not bit-exact.
+        pairwise reduction order.
         """
-        if self._backend.path_sums(self, float(vdd), dvth, mult, out):
-            return
         mos = self.tech.mosfet
         dt = self._dtype.type
         two_n_vt = 2.0 * mos.n_slope * mos.thermal_voltage
@@ -347,23 +500,22 @@ class MonteCarloKernel:
 
     # -- internal blocking ---------------------------------------------------
 
-    def _block_rows(self, total_rows: int, row_elems: int) -> int:
-        """Chips per internal evaluation block (fused path only)."""
-        if not self.fused:
-            return int(total_rows)
-        return max(1, min(int(total_rows),
-                          self.block_elems // max(1, int(row_elems))))
+    def _run_blocks(self, fn, rows: int, row_elems: int) -> int:
+        """``fn(arena, start, stop)`` over one batch's blocks; returns
+        the block count.
 
-    def _spans(self, total_rows: int, row_elems: int) -> list:
-        """Deterministic ``(start, stop)`` block spans for one batch.
-
-        Depends only on ``(total_rows, row_elems, block_elems, fused)``
-        — never on the backend — which is what makes the threaded
-        dispatch bit-identical to the serial loop.
+        The fused path runs the :func:`plan_blocks` plan on the
+        process's :class:`BlockPool`; the reference path evaluates the
+        whole batch as one block on the calling thread.
         """
-        block = self._block_rows(total_rows, row_elems)
-        return [(start, min(start + block, int(total_rows)))
-                for start in range(0, int(total_rows), block)]
+        pool = _POOL
+        if self.fused:
+            spans = plan_blocks(rows, row_elems, self.block_elems,
+                                pool.threads)
+        else:
+            spans = [(0, int(rows))]
+        pool.run(self, fn, spans)
+        return len(spans)
 
     # -- batch entry points --------------------------------------------------
 
@@ -377,8 +529,7 @@ class MonteCarloKernel:
         draw order: die pair, lane vectors, gate threshold fill, gate
         multiplier fill — so the output depends only on each chip's
         :class:`~numpy.random.SeedSequence` child, never on batch or
-        block boundaries (or on which backend thread evaluates the
-        block).
+        block boundaries (or on which thread evaluates the block).
 
         ``proposal`` (a :class:`~repro.core.tailsampling.ShiftProposal`)
         switches the batch to importance sampling: the d2d / lane
@@ -395,7 +546,6 @@ class MonteCarloKernel:
         vdd = float(vdd)
         total = len(rngs)
         row_elems = n_lanes * paths_per_lane * chain_length
-        spans = self._spans(total, row_elems)
         if proposal is not None and logw_out is None:
             raise ConfigurationError(
                 "system_batch with a proposal needs logw_out")
@@ -407,8 +557,8 @@ class MonteCarloKernel:
                 logw=None if logw_out is None else logw_out[start:stop],
                 d2d=None if d2d_out is None else d2d_out[start:stop])
 
-        self._backend.run_blocks(self, block, spans)
-        self._record(total, total * row_elems, len(spans))
+        blocks = self._run_blocks(block, total, row_elems)
+        self._record(total, total * row_elems, blocks)
 
     def _system_block(self, arena, rngs, vdd, n_lanes, paths_per_lane,
                       chain_length, spares, out, proposal=None, logw=None,
@@ -468,14 +618,13 @@ class MonteCarloKernel:
         vdd = float(vdd)
         total = len(rngs)
         row_elems = paths_per_lane * chain_length
-        spans = self._spans(total, row_elems)
 
         def block(arena, start, stop):
             self._lane_block(arena, rngs[start:stop], vdd, paths_per_lane,
                              chain_length, out[start:stop])
 
-        self._backend.run_blocks(self, block, spans)
-        self._record(total, total * row_elems, len(spans))
+        blocks = self._run_blocks(block, total, row_elems)
+        self._record(total, total * row_elems, blocks)
 
     def _lane_block(self, arena, rngs, vdd, paths_per_lane, chain_length,
                     out) -> None:
@@ -514,8 +663,8 @@ class MonteCarloKernel:
         generator), so chain results for a given seed are unchanged by
         the kernel rewrite.  Draws are single-stream and therefore
         serial; the fused *evaluation* still blocks over rows (the
-        per-row delay sums are independent), so the threaded backend
-        parallelises this path too without moving a bit.
+        per-row delay sums are independent), so the thread pool
+        parallelises it too without moving a bit.
         """
         var = self.tech.variation
         vdd = float(vdd)
@@ -533,23 +682,22 @@ class MonteCarloKernel:
             if include_die:
                 np.add(a, self._cast(corr)[:, None], out=a)
             out = np.empty(n_samples, dtype=self._dtype)
-            spans = self._spans(n_samples, chain_length)
 
             def block(blk_arena, start, stop):
                 self._fused_path_sums(blk_arena, vdd, a[start:stop],
                                       m[start:stop], out[start:stop])
 
-            self._backend.run_blocks(self, block, spans)
+            blocks = self._run_blocks(block, n_samples, chain_length)
             if include_die:
                 np.multiply(out, self._cast(corr_mult), out=out)
         else:
-            spans = [(0, n_samples)]
+            blocks = 1
             if include_die:
                 a = a + self._cast(corr)[:, None]
             out = self._reference_path_sums(vdd, a, m)
             if include_die:
                 out = out * self._cast(corr_mult)
-        self._record(n_samples, n_samples * chain_length, len(spans))
+        self._record(n_samples, n_samples * chain_length, blocks)
         return out
 
     # -- observability -------------------------------------------------------
@@ -557,11 +705,11 @@ class MonteCarloKernel:
     def _record(self, rows: int, gate_evals: int, blocks: int) -> None:
         """One batch's counters, recorded on the *calling* thread.
 
-        Aggregated per batch (not per block) so worker threads never
-        race on the registry; the workspace gauge reflects every arena.
+        Aggregated per batch (not per block) so pool threads never race
+        on the registry; the workspace gauge reflects every arena.
         """
         _obs_counter("kernels.batches").inc()
         _obs_counter("kernels.blocks").inc(int(blocks))
         _obs_counter("kernels.gate_evals").inc(int(gate_evals))
         _obs_gauge("kernels.workspace_bytes").set(self.workspace_nbytes)
-        _obs_gauge(f"kernels.backend.{self.backend}").set(1.0)
+        _obs_gauge("kernels.threads").set(float(_POOL.threads))

@@ -52,13 +52,9 @@ class MonteCarloEngine:
     fused:
         ``False`` selects the kernel's naive reference evaluation path
         (identical draws and results in float64; far more temporaries).
-    backend:
-        Kernel execution backend (``"numpy"`` default, ``"threaded"``,
-        ``"numba"``, ``"cupy"``) — see :mod:`repro.core.backends`.
-        Missing optional backends degrade to ``"numpy"`` with a warning.
     block_elems:
-        Per-workspace element budget for the kernel's internal blocking
-        (``None`` = kernel default); tune per backend.
+        Per-block element budget for the kernel's internal blocking
+        (``None`` = kernel default).
     kernel:
         Share an existing :class:`~repro.core.kernels.MonteCarloKernel`
         (and its workspaces) instead of building one; must be bound to
@@ -67,13 +63,12 @@ class MonteCarloEngine:
 
     def __init__(self, tech, seed: int | None = 0, rng=None,
                  precision: str = "float64", fused: bool = True,
-                 backend: str = "numpy", block_elems: int | None = None,
+                 block_elems: int | None = None,
                  kernel: MonteCarloKernel | None = None) -> None:
         self.tech = tech
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         if kernel is None:
             kernel = MonteCarloKernel(tech, precision=precision, fused=fused,
-                                      backend=backend,
                                       block_elems=block_elems)
         elif kernel.tech != tech:
             raise ConfigurationError(
@@ -81,7 +76,6 @@ class MonteCarloEngine:
         self.kernel = kernel
         self.precision = kernel.precision
         self.fused = kernel.fused
-        self.backend = kernel.backend
 
     # -- random streams ----------------------------------------------------
 

@@ -340,7 +340,7 @@ class TailSampler:
     def __init__(self, tech, *, width: int = 128, paths_per_lane: int = 100,
                  chain_length: int = 50, spares: int = 0,
                  batch_size: int = 64, sampler=None,
-                 precision: str = "float64", backend: str = "numpy",
+                 precision: str = "float64",
                  block_elems: int | None = None) -> None:
         if isinstance(tech, str):
             tech = get_technology(tech)
@@ -363,7 +363,6 @@ class TailSampler:
         self.spares = int(spares)
         self.batch_size = int(batch_size)
         self.precision = str(precision)
-        self.backend = str(backend)
         self.block_elems = block_elems
         self._sampler = sampler
         self._own_sampler = None
@@ -389,13 +388,13 @@ class TailSampler:
             chain_length=self.chain_length, n_chips=int(n_samples),
             spares=self.spares, batch_size=self.batch_size,
             root_seed=root_seed, precision=self.precision,
-            backend=self.backend, block_elems=self.block_elems)
+            block_elems=self.block_elems)
 
     def _pilot(self, vdd, n: int, proposal: ShiftProposal, seed) -> tuple:
         """One in-process pilot -> ``(delays, logw, d2d)``."""
         if self._pilot_kernel is None:
             self._pilot_kernel = MonteCarloKernel(
-                self.tech, precision=self.precision, backend=self.backend,
+                self.tech, precision=self.precision,
                 block_elems=self.block_elems)
         engine = MonteCarloEngine(self.tech,
                                   rng=np.random.default_rng(seed),

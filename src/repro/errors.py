@@ -46,14 +46,6 @@ class ConfigurationError(ReproError, ValueError):
     dropped than lanes instantiated)."""
 
 
-class BackendUnavailableError(ReproError, ImportError):
-    """A kernel execution backend's optional dependency (numba, cupy)
-    is not importable on this machine.  :func:`repro.core.backends.
-    resolve_backend` catches this and degrades to the ``numpy`` backend
-    with a warning; only :func:`~repro.core.backends.get_backend`
-    surfaces it directly."""
-
-
 class ShardExecutionError(ReproError):
     """One or more parallel shards failed even after the runtime's retry
     budget was exhausted.  Carries the failed shard ids and the last

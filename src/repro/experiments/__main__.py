@@ -30,7 +30,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.core.backends import BACKENDS, backend_manifest
+from repro.core.kernels import share_cpus
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.experiments.registry import list_experiments, run_experiment
 from repro.obs.manifest import build_manifest, cache_file_state, write_manifest
@@ -85,7 +85,9 @@ def _run_all_parallel(targets: list, fast: bool, runtime) -> None:
         "parent": obs.tracer.current_span(),
         "metrics": obs.metrics.enabled,
     }
-    with ProcessPoolExecutor(max_workers=runtime.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=runtime.jobs,
+                             initializer=share_cpus,
+                             initargs=(runtime.jobs,)) as pool:
         for experiment_id, rendered, elapsed, profile, obs_snap in pool.map(
                 _run_remote, [(t, fast, obs_ctx) for t in targets]):
             runtime.profiler.merge(profile)
@@ -196,16 +198,11 @@ def main(argv=None) -> int:
                         help="Monte-Carlo kernel dtype policy: float64 "
                              "(default, bit-exact reference) or float32 "
                              "(~2x bandwidth for validation sweeps)")
-    parser.add_argument("--backend", choices=BACKENDS, default="numpy",
-                        help="Monte-Carlo kernel execution backend: numpy "
-                             "(default, serial), threaded (blocks across a "
-                             "thread pool, bit-identical), numba or cupy "
-                             "(optional accelerators; fall back to numpy "
-                             "with a warning when not installed)")
     parser.add_argument("--block-elems", type=int, default=None, metavar="N",
-                        help="kernel internal block budget in elements "
-                             "(>= 1; default 1e6) — the tuning knob for "
-                             "how much work each backend block carries")
+                        help="Monte-Carlo kernel per-block element budget "
+                             "(>= 1; default 65,536): batches run as "
+                             "balanced blocks of at most this many "
+                             "elements across the kernel threads")
     args = parser.parse_args(argv)
 
     if args.jobs < 1:
@@ -235,7 +232,6 @@ def main(argv=None) -> int:
                                 metrics=bool(args.metrics),
                                 retry=retry, faults=faults,
                                 precision=args.mc_precision,
-                                backend=args.backend,
                                 block_elems=args.block_elems)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -257,7 +253,6 @@ def main(argv=None) -> int:
                     batch_window_ms=args.batch_window_ms,
                     max_queue=args.max_queue,
                     deadline_ms=args.deadline_ms,
-                    backend=args.backend,
                     block_elems=args.block_elems,
                     window_s=args.window_s,
                     slo_availability=args.slo_availability,
@@ -310,7 +305,6 @@ def main(argv=None) -> int:
             cache_after=cache_file_state(), elapsed_wall_s=elapsed_wall_s,
             trace_file=args.trace, resilience=runtime.ledger.as_dict(),
             faults=args.inject_faults,
-            backends=backend_manifest(args.backend),
             flight=flight_snapshot)
         write_manifest(args.metrics, manifest)
         print(f"[run manifest written to {args.metrics}]", file=sys.stderr)

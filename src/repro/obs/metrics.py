@@ -8,7 +8,7 @@ A :class:`MetricsRegistry` hands out named instruments on demand::
 
 Instruments are memoised by name, so a hot call site pays one dict lookup
 plus one locked attribute bump.  Every instrument is thread-safe: the
-threaded kernel backend and the serve dispatcher's solver thread mutate
+kernels' block threads and the serve dispatcher's solver thread mutate
 counters concurrently with the event loop, so updates take a per-
 instrument lock (uncontended in the common case).  Registries serialise
 with :meth:`as_dict` and fold worker snapshots back in with :meth:`merge`

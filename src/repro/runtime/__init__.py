@@ -59,7 +59,6 @@ def build_runtime(jobs: int = 1, profile: bool = False,
                   trace: bool = False, metrics: bool = False,
                   retry=None, faults=None,
                   precision: str = "float64",
-                  backend: str = "numpy",
                   block_elems: int | None = None) -> ReproRuntime:
     """A ready-to-activate runtime with a sampler sized to ``jobs``.
 
@@ -71,22 +70,21 @@ def build_runtime(jobs: int = 1, profile: bool = False,
     sampler's fault-tolerant dispatcher, and ``faults`` an optional
     :class:`~repro.resilience.faultlab.FaultPlan` installed while the
     runtime is active (``--inject-faults``).  ``precision`` sets the
-    run's Monte-Carlo dtype policy (``--mc-precision``), ``backend``
-    the kernel execution backend (``--backend``; validated against
-    :data:`~repro.core.backends.BACKENDS`) and ``block_elems`` the
-    kernels' internal block budget (``--block-elems``; must be >= 1).
+    run's Monte-Carlo dtype policy (``--mc-precision``) and
+    ``block_elems`` the kernels' per-block element budget
+    (``--block-elems``; must be >= 1).
+
+    Building a runtime starts no thread or process: the sampler's
+    process pool starts on its first multi-shard dispatch and the
+    kernels' thread pool on the first batch with more than one block
+    (see :mod:`repro.core.kernels` for how both are sized).
     """
-    from repro.core.backends import BACKENDS
     from repro.errors import ConfigurationError
     from repro.obs.api import build_obs
 
     jobs = int(jobs)
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    backend = str(backend)
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {BACKENDS}, got {backend!r}")
     if block_elems is not None:
         block_elems = int(block_elems)
         if block_elems < 1:
@@ -97,7 +95,7 @@ def build_runtime(jobs: int = 1, profile: bool = False,
         obs=build_obs(trace=bool(trace),
                       metrics=bool(metrics or profile or trace)),
         faults=faults, precision=str(precision),
-        backend=backend, block_elems=block_elems)
+        block_elems=block_elems)
     runtime.sampler = ParallelSampler(jobs,
                                       profiler=runtime.profiler,
                                       retry=retry)

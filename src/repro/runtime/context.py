@@ -63,15 +63,14 @@ class ReproRuntime:
         ``"float32"`` for bandwidth-bound validation sweeps); consumed
         by :meth:`~repro.core.analyzer.VariationAnalyzer.monte_carlo`
         and the sampler's MC shards — see :mod:`repro.core.kernels`.
-    backend:
-        Kernel execution backend for the run's Monte-Carlo shards
-        (``"numpy"`` default, ``"threaded"``, ``"numba"``, ``"cupy"``)
-        — see :mod:`repro.core.backends`.  Plumbed exactly like
-        ``precision``: the analyzer and the sampler's MC shards pick it
-        up from the active runtime.
     block_elems:
-        Per-workspace element budget for the kernels' internal blocking
-        (``None`` = kernel default); the tuning knob per backend.
+        Per-block element budget for the kernels' internal blocking
+        (``None`` = kernel default, see
+        :data:`~repro.core.kernels.DEFAULT_BLOCK_ELEMS`).  Plumbed
+        exactly like ``precision``: the analyzer and the sampler's MC
+        shards pick it up from the active runtime.  The kernels' thread
+        count is no runtime setting; it follows the CPUs the process
+        may use (:func:`~repro.core.kernels.kernel_threads`).
     """
 
     jobs: int = 1
@@ -82,7 +81,6 @@ class ReproRuntime:
     ledger: FaultLedger = field(default_factory=FaultLedger)
     faults: object = None
     precision: str = "float64"
-    backend: str = "numpy"
     block_elems: int | None = None
 
     def close(self) -> None:

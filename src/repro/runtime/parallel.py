@@ -61,11 +61,16 @@ ledger events (:func:`repro.resilience.ledger.current_ledger`).
 Workers memoise their :class:`~repro.core.chip_delay.ChipDelayEngine`
 instances per (card, architecture, quadrature) so the Gauss-Hermite
 tabulations are paid once per process, not once per shard.
+
+**Sizing**: ``jobs=None`` means one worker per CPU the process may run
+on (its affinity mask, :func:`~repro.core.kernels.usable_cpus`).  Each
+worker runs its Monte-Carlo kernel blocks on ``max(1, cpus // jobs)``
+threads (:func:`~repro.core.kernels.share_cpus`, the pool initializer),
+so process shards and kernel threads never oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -74,7 +79,7 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from repro.core.chip_delay import ChipDelayEngine
-from repro.core.kernels import MonteCarloKernel
+from repro.core.kernels import MonteCarloKernel, share_cpus, usable_cpus
 from repro.core.montecarlo import MonteCarloEngine
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.obs.api import Observability, activate_obs, current_obs
@@ -179,14 +184,14 @@ _WORKER_ENGINES: dict = {}
 _WORKER_KERNELS: dict = {}
 
 
-def _mc_kernel(tech, precision: str, backend: str = "numpy",
+def _mc_kernel(tech, precision: str,
                block_elems: int | None = None) -> MonteCarloKernel:
     """Per-process Monte-Carlo kernel memo (workspaces amortise across shards)."""
-    key = (tech, precision, backend, block_elems)
+    key = (tech, precision, block_elems)
     kernel = _WORKER_KERNELS.get(key)
     if kernel is None:
         kernel = MonteCarloKernel(tech, precision=precision,
-                                  backend=backend, block_elems=block_elems)
+                                  block_elems=block_elems)
         _WORKER_KERNELS[key] = kernel
     return kernel
 
@@ -194,12 +199,13 @@ def _mc_kernel(tech, precision: str, backend: str = "numpy",
 def release_worker_workspaces() -> int:
     """Drop every memoised kernel's workspaces in this process.
 
-    The kernels stay memoised (their compiled/backed state is cheap);
-    only the grow-only evaluation buffers are released, and they regrow
-    on the next shard.  Long-lived servers call this when the request
-    queue drains idle, and the sampler's serial fallback calls it after
-    each in-process shard, so one oversized request does not pin its
-    peak workspace footprint forever.  Returns the number of bytes
+    The kernels stay memoised; only the grow-only evaluation buffers —
+    one arena per kernel thread that ran a block, plus the caller's —
+    are released, and they regrow on the next shard.  Long-lived
+    servers call this when the request queue drains idle, and the
+    sampler's serial fallback calls it after each in-process shard, so
+    one oversized request does not pin its peak workspace footprint
+    forever.  Returns the number of bytes
     freed and zeroes the ``kernels.workspace_bytes`` gauge.
     """
     freed = 0
@@ -269,7 +275,6 @@ def _system_delays_core(task: dict) -> np.ndarray:
     """One shard of per-gate Monte-Carlo chip delays."""
     rng = np.random.default_rng(task["seed"])
     kernel = _mc_kernel(task["tech"], task.get("precision", "float64"),
-                        task.get("backend", "numpy"),
                         task.get("block_elems"))
     engine = MonteCarloEngine(task["tech"], rng=rng, kernel=kernel)
     return engine.system_delays(
@@ -291,7 +296,6 @@ def _weighted_delays_core(task: dict) -> np.ndarray:
     from repro.core.tailsampling import ShiftProposal
     rng = np.random.default_rng(task["seed"])
     kernel = _mc_kernel(task["tech"], task.get("precision", "float64"),
-                        task.get("backend", "numpy"),
                         task.get("block_elems"))
     engine = MonteCarloEngine(task["tech"], rng=rng, kernel=kernel)
     chips = int(task["chips"])
@@ -357,8 +361,9 @@ class ParallelSampler:
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` means one per CPU, ``1`` runs every
-        shard in-process (no pool) while keeping the sharded stream.
+        Worker processes; ``None`` means one per CPU this process may
+        run on, ``1`` runs every shard in-process (no pool) while
+        keeping the sharded stream.
     shard_size:
         Chips per shard.  Part of the reproducibility key: changing it
         changes the random stream, changing ``jobs`` never does.
@@ -381,7 +386,7 @@ class ParallelSampler:
                  profiler=None, retry: RetryPolicy | None = None,
                  shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES) -> None:
         if jobs is None:
-            jobs = os.cpu_count() or 1
+            jobs = usable_cpus()
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if shard_size < 1:
@@ -401,7 +406,9 @@ class ParallelSampler:
 
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=share_cpus,
+                initargs=(self.jobs,))
         return self._executor
 
     def close(self) -> None:
@@ -734,26 +741,20 @@ class ParallelSampler:
                       chain_length: int, n_chips: int, spares: int = 0,
                       batch_size: int = 64, root_seed=0,
                       precision: str = "float64",
-                      backend: str = "numpy",
                       block_elems: int | None = None) -> np.ndarray:
         """Sharded :meth:`MonteCarloEngine.system_delays` (seconds).
 
         Bit-identical for a given ``(root_seed, shard_size)`` regardless
         of ``jobs`` (and of ``batch_size`` — the engine spawns per-chip
-        streams).  ``precision`` selects the kernels' dtype policy;
-        ``backend`` their execution backend (the ``threaded`` backend
-        keeps bit-identity and composes with process sharding — threads
-        inside each worker, shards across workers) and ``block_elems``
-        their internal block budget.  Backend names travel in the task
-        dicts and resolve *inside* each worker, so a missing optional
-        backend degrades per-process with a warning.
+        streams — and of the kernels' block plan and thread count).
+        ``precision`` selects the kernels' dtype policy and
+        ``block_elems`` their per-block element budget.
         """
         tasks = self._tasks(n_chips, root_seed, dict(
             tech=tech, vdd=float(vdd), width=int(width),
             paths_per_lane=int(paths_per_lane),
             chain_length=int(chain_length), spares=int(spares),
             batch_size=int(batch_size), precision=str(precision),
-            backend=str(backend),
             block_elems=None if block_elems is None else int(block_elems)))
         return self._run(_system_delays_shard, tasks,
                          "sampler.system_delays", n_chips,
@@ -764,7 +765,6 @@ class ParallelSampler:
                                n_chips: int, proposal, spares: int = 0,
                                batch_size: int = 64, root_seed=0,
                                precision: str = "float64",
-                               backend: str = "numpy",
                                block_elems: int | None = None) -> tuple:
         """Sharded :meth:`MonteCarloEngine.weighted_system_delays`.
 
@@ -784,7 +784,6 @@ class ParallelSampler:
                       paths_per_lane=int(paths_per_lane),
                       chain_length=int(chain_length), spares=int(spares),
                       batch_size=int(batch_size), precision=str(precision),
-                      backend=str(backend),
                       block_elems=None if block_elems is None
                       else int(block_elems),
                       proposal=proposal.as_dict())

@@ -14,7 +14,6 @@ import argparse
 import sys
 import time
 
-from repro.core.backends import BACKENDS, backend_manifest
 from repro.errors import ConfigurationError
 from repro.obs.manifest import build_manifest, cache_file_state, write_manifest
 from repro.obs.trace import write_chrome_trace
@@ -35,10 +34,9 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-window-ms", type=float, default=2.0)
     parser.add_argument("--max-queue", type=int, default=1024)
     parser.add_argument("--deadline-ms", type=float, default=None)
-    parser.add_argument("--backend", choices=BACKENDS, default="numpy",
-                        help="Monte-Carlo kernel execution backend")
     parser.add_argument("--block-elems", type=int, default=None, metavar="N",
-                        help="kernel internal block budget (elements, >= 1)")
+                        help="Monte-Carlo kernel per-block element budget "
+                             "(>= 1; default 65,536)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write request/batch/solve spans as Chrome "
                              "trace JSON on shutdown")
@@ -69,7 +67,7 @@ def main(argv=None) -> int:
         config = ServeConfig(
             host=args.host, port=args.port, max_batch=args.max_batch,
             batch_window_ms=args.batch_window_ms, max_queue=args.max_queue,
-            deadline_ms=args.deadline_ms, backend=args.backend,
+            deadline_ms=args.deadline_ms,
             block_elems=args.block_elems, window_s=args.window_s,
             slo_availability=args.slo_availability,
             slo_latency_ms=args.slo_latency_ms,
@@ -78,7 +76,6 @@ def main(argv=None) -> int:
             drain_timeout_s=args.drain_timeout_s)
         runtime = build_runtime(jobs=args.jobs, metrics=True,
                                 trace=bool(args.trace),
-                                backend=args.backend,
                                 block_elems=args.block_elems,
                                 faults=parse_faults(args.inject_faults))
     except ConfigurationError as exc:
@@ -99,7 +96,6 @@ def main(argv=None) -> int:
                 elapsed_wall_s=time.perf_counter() - t0,
                 trace_file=args.trace, faults=args.inject_faults,
                 resilience=runtime.ledger.as_dict(),
-                backends=backend_manifest(args.backend),
                 flight=summary.get("flight")))
     finally:
         runtime.close()

@@ -65,3 +65,38 @@ def small_analyzer(tech90):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def kernel_pool(monkeypatch):
+    """``kernel_pool(n)`` installs a private ``n``-thread kernel pool.
+
+    ``n=None`` sizes it by the (possibly faked) affinity mask.  Every
+    pool installed is shut down after the test.
+    """
+    from repro.core import kernels
+
+    pools = []
+
+    def install(threads=None):
+        pool = kernels.BlockPool(threads)
+        pools.append(pool)
+        monkeypatch.setattr(kernels, "_POOL", pool)
+        return pool
+
+    yield install
+    for pool in pools:
+        pool.close()
+
+
+@pytest.fixture
+def fake_cpus(monkeypatch):
+    """``fake_cpus(n)``: the process may run on ``n`` CPUs.
+
+    Forked pool workers inherit the fake affinity mask.
+    """
+    def install(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+
+    return install

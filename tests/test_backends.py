@@ -1,26 +1,25 @@
-"""Kernel execution backends: parity matrix, fallback, workspace accounting."""
+"""Kernel thread pool: parity matrix, process composition, workspaces.
+
+Every fused Monte-Carlo batch runs as balanced blocks on the process's
+kernel thread pool (:class:`repro.core.kernels.BlockPool`).  These tests
+pin the pool's width through the ``kernel_pool`` fixture and require the
+same bits at every width, block budget and process count.  The block
+planner, fork safety and CPU-affinity sizing are covered in
+``tests/test_kernel_threads.py``.
+"""
 
 from __future__ import annotations
 
-import warnings
+import json
 
 import numpy as np
 import pytest
 
-from repro.core.backends import (
-    BACKENDS,
-    KernelBackend,
-    NumpyBackend,
-    ThreadedBlocksBackend,
-    available_backends,
-    backend_manifest,
-    get_backend,
-    resolve_backend,
-)
-from repro.core.kernels import MonteCarloKernel
+from repro.core import kernels
+from repro.core.kernels import BlockPool, MonteCarloKernel, plan_blocks
 from repro.core.montecarlo import MonteCarloEngine
 from repro.devices.technology import available_technologies, get_technology
-from repro.errors import BackendUnavailableError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.obs.api import activate_obs, build_obs
 from repro.resilience import (
     FaultLedger,
@@ -37,92 +36,71 @@ SMALL_ARCH = dict(width=4, paths_per_lane=3, chain_length=5)
 SYS_KW = dict(width=6, paths_per_lane=4, chain_length=7, spares=1)
 
 #: Small enough that every parity batch splits into several internal
-#: blocks, so the threaded dispatch actually fans out.
+#: blocks, so the pool actually fans out.
 TINY_BLOCKS = 97
-
-
-def _threaded(threads=3):
-    """A private pool instance per test (never the shared singleton)."""
-    return ThreadedBlocksBackend(threads=threads)
-
-
-# -- registry -----------------------------------------------------------------
-
-
-def test_registry_names_and_unknown_backend():
-    assert BACKENDS == ("numpy", "threaded", "numba", "cupy")
-    assert set(available_backends()) >= {"numpy", "threaded"}
-    with pytest.raises(ConfigurationError):
-        get_backend("fortran")
-    with pytest.raises(ConfigurationError):
-        resolve_backend("fortran")
-
-
-def test_get_backend_returns_singletons():
-    assert get_backend("numpy") is get_backend("numpy")
-    assert get_backend("threaded", threads=2) is get_backend(
-        "threaded", threads=2)
-    assert get_backend("threaded", threads=2) is not get_backend(
-        "threaded", threads=3)
-
-
-def test_resolve_backend_instance_passthrough():
-    inst = _threaded(2)
-    assert resolve_backend(inst) is inst
-    assert isinstance(resolve_backend("numpy"), NumpyBackend)
 
 
 def test_threaded_thread_count_validated():
     with pytest.raises(ConfigurationError):
-        ThreadedBlocksBackend(threads=0)
+        BlockPool(threads=0)
+    with pytest.raises(ConfigurationError):
+        plan_blocks(10, 5, 100, threads=0)
 
 
-# -- threaded parity matrix: bit-identical by construction --------------------
+# -- parity matrix: bit-identical at every thread count -----------------------
 
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])
 @pytest.mark.parametrize("node", available_technologies())
-def test_threaded_system_parity_matrix(node, precision):
-    """4 nodes x both precisions: threaded == numpy, bit for bit."""
+def test_threaded_system_parity_matrix(node, precision, kernel_pool):
+    """4 nodes x both precisions: 3 threads == 1 thread, bit for bit."""
     tech = get_technology(node)
     kw = dict(n_chips=24, batch_size=24, **SYS_KW)
+    kernel_pool(1)
     ref = MonteCarloEngine(tech, seed=3,
                            precision=precision).system_delays(0.6, **kw)
+    kernel_pool(3)
     thr = MonteCarloEngine(tech, seed=3, precision=precision,
-                           backend=_threaded(), block_elems=TINY_BLOCKS
+                           block_elems=TINY_BLOCKS
                            ).system_delays(0.6, **kw)
     np.testing.assert_array_equal(thr, ref)
 
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])
-def test_threaded_lane_and_chain_parity(tech90, precision):
+def test_threaded_lane_and_chain_parity(tech90, precision, kernel_pool):
+    kernel_pool(1)
     ref = MonteCarloEngine(tech90, seed=5, precision=precision)
+    ref_lanes = ref.lane_delays(0.55, paths_per_lane=4, chain_length=6,
+                                n_samples=40, batch_size=40)
+    ref_chains = ref.chain_delays(0.5, 12, 50)
+    kernel_pool(3)
     thr = MonteCarloEngine(tech90, seed=5, precision=precision,
-                           backend=_threaded(), block_elems=29)
+                           block_elems=29)
     np.testing.assert_array_equal(
         thr.lane_delays(0.55, paths_per_lane=4, chain_length=6,
-                        n_samples=40, batch_size=40),
-        ref.lane_delays(0.55, paths_per_lane=4, chain_length=6,
-                        n_samples=40, batch_size=40))
+                        n_samples=40, batch_size=40), ref_lanes)
     np.testing.assert_array_equal(thr.chain_delays(0.5, 12, 50),
-                                  ref.chain_delays(0.5, 12, 50))
+                                  ref_chains)
 
 
-def test_threaded_thread_count_invariance(tech22):
+def test_threaded_thread_count_invariance(tech22, kernel_pool):
     """1, 2 and 8 threads all produce the identical bits."""
     kw = dict(n_chips=20, batch_size=20, **SYS_KW)
-    outs = [MonteCarloEngine(tech22, seed=9, backend=_threaded(t),
-                             block_elems=TINY_BLOCKS
-                             ).system_delays(0.6, **kw)
-            for t in (1, 2, 8)]
+    outs = []
+    for n in (1, 2, 8):
+        kernel_pool(n)
+        outs.append(MonteCarloEngine(tech22, seed=9,
+                                     block_elems=TINY_BLOCKS
+                                     ).system_delays(0.6, **kw))
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[0], outs[2])
 
 
-def test_threaded_matches_reference_path(tech90):
-    """Threaded fused == unfused naive reference (the PR-5 parity gate)."""
+def test_threaded_matches_reference_path(tech90, kernel_pool):
+    """Fused on 3 threads == unfused naive reference (the PR-5 gate)."""
     kw = dict(n_chips=16, batch_size=16, **SYS_KW)
-    thr = MonteCarloEngine(tech90, seed=7, backend=_threaded(),
+    kernel_pool(3)
+    thr = MonteCarloEngine(tech90, seed=7,
                            block_elems=TINY_BLOCKS).system_delays(0.6, **kw)
     ref = MonteCarloEngine(tech90, seed=7, fused=False).system_delays(
         0.6, **kw)
@@ -132,24 +110,31 @@ def test_threaded_matches_reference_path(tech90):
 # -- composition with process sharding ----------------------------------------
 
 
-def test_threaded_composes_with_jobs_bit_identical(tech90):
-    """--backend threaded --jobs 2 == serial numpy run, bit for bit."""
+def test_threaded_composes_with_jobs_bit_identical(tech90, kernel_pool,
+                                                   fake_cpus):
+    """Threads inside 2 workers == a 1-thread in-process run."""
     kw = dict(n_chips=96, spares=0, root_seed=11, batch_size=32,
-              **SMALL_ARCH)
+              block_elems=TINY_BLOCKS, **SMALL_ARCH)
+    kernel_pool(1)
     with ParallelSampler(1, shard_size=16) as serial:
         baseline = serial.system_delays(tech90, 0.6, **kw)
+    fake_cpus(4)           # each of the 2 workers runs 2 threads
+    kernel_pool(4)
     with ParallelSampler(2, shard_size=16) as pooled:
-        threaded = pooled.system_delays(tech90, 0.6, backend="threaded",
-                                        block_elems=TINY_BLOCKS, **kw)
+        threaded = pooled.system_delays(tech90, 0.6, **kw)
     np.testing.assert_array_equal(threaded, baseline)
 
 
-def test_threaded_under_worker_crash_bit_identical(tech90):
-    """Chaos recovery (respawn -> serial fallback) keeps threaded parity."""
+def test_threaded_under_worker_crash_bit_identical(tech90, kernel_pool,
+                                                   fake_cpus):
+    """Chaos recovery (respawn -> serial fallback) keeps thread parity."""
     kw = dict(n_chips=64, spares=0, root_seed=11, batch_size=32,
-              **SMALL_ARCH)
+              block_elems=TINY_BLOCKS, **SMALL_ARCH)
+    kernel_pool(1)
     with ParallelSampler(1, shard_size=16) as serial:
         baseline = serial.system_delays(tech90, 0.6, **kw)
+    fake_cpus(4)
+    kernel_pool(3)
     ledger = FaultLedger()
     obs = build_obs(metrics=True)
     with activate_obs(obs), activate_ledger(ledger), \
@@ -157,86 +142,43 @@ def test_threaded_under_worker_crash_bit_identical(tech90):
         sampler = ParallelSampler(
             2, shard_size=16, retry=RetryPolicy(max_pool_respawns=1))
         try:
-            out = sampler.system_delays(tech90, 0.6, backend="threaded",
-                                        block_elems=TINY_BLOCKS, **kw)
+            out = sampler.system_delays(tech90, 0.6, **kw)
         finally:
             sampler.close()
     assert ledger.counts()["serial_fallback"] == 1
     np.testing.assert_array_equal(out, baseline)
 
 
-# -- optional backends: degrade with a warning --------------------------------
-
-
-@pytest.mark.parametrize("name", ["numba", "cupy"])
-def test_missing_optional_backend_falls_back_and_solves(tech90, name):
-    if name in available_backends():
-        pytest.skip(f"{name} is installed; fallback path not reachable")
-    with pytest.raises(BackendUnavailableError):
-        get_backend(name)
-    with pytest.warns(RuntimeWarning, match=name):
-        engine = MonteCarloEngine(tech90, seed=1, backend=name)
-    assert engine.backend == "numpy"
-    out = engine.system_delays(0.6, n_chips=8, batch_size=8, **SMALL_ARCH)
-    ref = MonteCarloEngine(tech90, seed=1).system_delays(
-        0.6, n_chips=8, batch_size=8, **SMALL_ARCH)
-    np.testing.assert_array_equal(out, ref)
-
-
-@pytest.mark.parametrize("name", ["numba", "cupy"])
-def test_available_optional_backend_rtol_parity(tech90, name):
-    if name not in available_backends():
-        pytest.skip(f"{name} not installed")
-    kw = dict(n_chips=16, batch_size=16, **SYS_KW)
-    ref = MonteCarloEngine(tech90, seed=3).system_delays(0.6, **kw)
-    acc = MonteCarloEngine(tech90, seed=3, backend=name).system_delays(
-        0.6, **kw)
-    np.testing.assert_allclose(acc, ref, rtol=1e-9)
-
-
-def test_backend_manifest_records_fallback():
-    section = backend_manifest("threaded")
-    assert section["requested"] == "threaded"
-    assert section["active"] == "threaded"
-    assert section["fallback"] is False
-    assert section["bit_parity"] is True
-    assert section["threads"] >= 1
-    assert "numpy" in section["available"]
-    if "numba" not in available_backends():
-        degraded = backend_manifest("numba")
-        assert degraded["active"] == "numpy"
-        assert degraded["fallback"] is True
-
-
 # -- runtime / CLI plumbing ---------------------------------------------------
 
 
 def test_build_runtime_validates_backend_and_block_elems():
-    with pytest.raises(ConfigurationError):
-        build_runtime(backend="fortran")
+    """Only the block budget is a runtime setting; backends are gone."""
+    with pytest.raises(TypeError):
+        build_runtime(backend="threaded")
     with pytest.raises(ConfigurationError):
         build_runtime(block_elems=0)
-    runtime = build_runtime(backend="threaded", block_elems=1234)
+    runtime = build_runtime(block_elems=1234)
     try:
-        assert runtime.backend == "threaded"
         assert runtime.block_elems == 1234
+        assert not hasattr(runtime, "backend")
     finally:
         runtime.close()
 
 
 def test_analyzer_monte_carlo_picks_up_runtime_backend():
+    """The analyzer's MC engine takes the active runtime's block budget."""
     from repro.core.analyzer import VariationAnalyzer
 
     analyzer = VariationAnalyzer("90nm", width=4, paths_per_lane=3,
                                  chain_length=5)
-    runtime = build_runtime(backend="threaded", block_elems=4321)
+    runtime = build_runtime(block_elems=4321)
     try:
         with activate_runtime(runtime):
             engine = analyzer.monte_carlo(seed=1)
-        assert engine.backend == "threaded"
         assert engine.kernel.block_elems == 4321
         default = analyzer.monte_carlo(seed=1)
-        assert default.backend == "numpy"
+        assert default.kernel.block_elems == kernels.DEFAULT_BLOCK_ELEMS
     finally:
         runtime.close()
 
@@ -247,24 +189,28 @@ def test_cli_rejects_bad_block_elems(capsys):
     assert "block_elems" in capsys.readouterr().err
 
 
-def test_cli_runs_experiment_on_threaded_backend(tmp_path):
-    import json
-
+def test_cli_runs_experiment_on_threaded_backend(tmp_path, capsys):
+    """Every CLI run uses the kernel threads; ``--backend`` is gone."""
     from repro.experiments.__main__ import main as cli_main
     manifest = tmp_path / "manifest.json"
-    assert cli_main(["fig1", "--fast", "--backend", "threaded",
-                     "--block-elems", "50000",
+    assert cli_main(["fig1", "--fast", "--block-elems", "50000",
                      "--metrics", str(manifest)]) == 0
     payload = json.loads(manifest.read_text())
-    assert payload["backends"]["requested"] == "threaded"
-    assert payload["backends"]["active"] == "threaded"
-    assert payload["backends"]["fallback"] is False
+    assert payload["manifest_version"] == 2
+    assert "backends" not in payload
+    assert payload["environment"]["kernel_threads"] == \
+        kernels.kernel_threads()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fig1", "--fast", "--backend", "threaded"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 # -- workspace accounting (staging included) ----------------------------------
 
 
-def test_workspace_breakdown_counts_float32_staging(tech90):
+def test_workspace_breakdown_counts_float32_staging(tech90, kernel_pool):
+    kernel_pool(1)
     kernel = MonteCarloKernel(tech90, precision="float32")
     engine = MonteCarloEngine(tech90, kernel=kernel, seed=0)
     engine.system_delays(0.6, n_chips=8, batch_size=8, **SMALL_ARCH)
@@ -285,9 +231,9 @@ def test_float64_kernel_has_no_staging(tech90):
     assert kernel.workspace_nbytes == sum(breakdown.values())
 
 
-def test_threaded_arenas_release_across_threads(tech22):
-    kernel = MonteCarloKernel(tech22, backend=_threaded(2),
-                              block_elems=TINY_BLOCKS)
+def test_threaded_arenas_release_across_threads(tech22, kernel_pool):
+    kernel_pool(2)
+    kernel = MonteCarloKernel(tech22, block_elems=TINY_BLOCKS)
     engine = MonteCarloEngine(tech22, kernel=kernel, seed=0)
     engine.system_delays(0.6, n_chips=20, batch_size=20, **SYS_KW)
     assert kernel.workspace_nbytes > 0
@@ -326,46 +272,21 @@ def test_serial_fallback_releases_workspaces(tech90):
 # -- metrics ------------------------------------------------------------------
 
 
-def test_threaded_backend_metrics_emitted(tech22):
+def test_threaded_backend_metrics_emitted(tech22, kernel_pool):
+    kernel_pool(2)
     obs = build_obs(metrics=True)
     with activate_obs(obs):
-        MonteCarloEngine(tech22, seed=0, backend=_threaded(2),
-                         block_elems=TINY_BLOCKS).system_delays(
-            0.6, n_chips=20, batch_size=20, **SYS_KW)
-    assert obs.metrics.counter("kernels.backend_blocks").value > 1
-    assert obs.metrics.gauge("kernels.backend_threads").value == 2.0
-    assert obs.metrics.gauge("kernels.backend.threaded").value == 1.0
+        MonteCarloEngine(tech22, seed=0, block_elems=TINY_BLOCKS
+                         ).system_delays(0.6, n_chips=20, batch_size=20,
+                                         **SYS_KW)
+    assert obs.metrics.counter("kernels.blocks").value > 1
+    assert obs.metrics.gauge("kernels.threads").value == 2.0
     util = obs.metrics.gauge("kernels.thread_utilization").value
-    assert 0.0 <= util <= 1.0
-
-
-def test_backend_base_class_serial_contract(tech90):
-    """The default run_blocks is the serial loop every backend inherits."""
-    backend = KernelBackend()
-    kernel = MonteCarloKernel(tech90, backend=backend)
-    seen = []
-    backend.run_blocks(kernel, lambda arena, start, stop:
-                       seen.append((start, stop)), [(0, 3), (3, 5)])
-    assert seen == [(0, 3), (3, 5)]
-    assert backend.path_sums(kernel, 0.6, None, None, None) is False
-    assert backend.workspace_nbytes == 0
+    assert 0.0 < util <= 1.0
 
 
 def test_kernel_accepts_none_block_elems(tech90):
-    from repro.core.kernels import DEFAULT_BLOCK_ELEMS
-    assert MonteCarloKernel(tech90,
-                            block_elems=None).block_elems == DEFAULT_BLOCK_ELEMS
-    with pytest.raises(ConfigurationError):
-        MonteCarloKernel(tech90, backend="nope")
-
-
-def test_resolve_backend_warning_mentions_fallback():
-    if "cupy" in available_backends():
-        pytest.skip("cupy installed; no fallback warning to test")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        backend = resolve_backend("cupy")
-    assert backend.name == "numpy"
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, RuntimeWarning)]
-    assert any("falling back to 'numpy'" in m for m in messages)
+    assert MonteCarloKernel(tech90, block_elems=None).block_elems == \
+        kernels.DEFAULT_BLOCK_ELEMS
+    with pytest.raises(TypeError):
+        MonteCarloKernel(tech90, backend="threaded")

@@ -478,6 +478,35 @@ def test_cli_manifests_deterministic_across_reruns(tmp_path, monkeypatch):
     assert m1["cache"]["misses"] == 0 and m1["cache"]["hits"] > 0
 
 
+def test_validate_obs_forbids_fault_events(tmp_path, monkeypatch, capsys):
+    import importlib.util
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    _, manifest = _run_fig4(tmp_path, "clean")
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "validate_obs.py")
+    spec = importlib.util.spec_from_file_location("validate_obs", script)
+    validate_obs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(validate_obs)
+    clean = tmp_path / "manifest-clean.json"
+    args = ["--manifest", str(clean),
+            "--forbid-fault-events", "hung_worker_timeout"]
+    assert validate_obs.main(args) == 0
+    manifest["resilience"] = {
+        "events": [{"event": "hung_worker_timeout"}],
+        "counts": {"hung_worker_timeout": 1}}
+    hung = tmp_path / "manifest-hung.json"
+    hung.write_text(json.dumps(manifest))
+    assert validate_obs.main(["--manifest", str(hung),
+                              "--forbid-fault-events",
+                              "hung_worker_timeout"]) == 1
+    assert "expected no 'hung_worker_timeout'" in capsys.readouterr().err
+    # The kernels' utilization gauge is wall-clock data.
+    manifest["metrics"]["gauges"]["kernels.thread_utilization"] = 0.5
+    assert "kernels.thread_utilization" not in \
+        strip_timing(manifest)["metrics"]["gauges"]
+
+
 def test_cli_without_obs_flags_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     get_analyzer.cache_clear()
